@@ -27,12 +27,10 @@ void IpsecEncrypt::PushBatch(int /*port*/, PacketBatch& batch) {
 #if defined(RB_PROFILE) && RB_PROFILE
     RB_PROF_SCOPE(EncryptPhase());
 #endif
-    for (Packet* p : batch) {
-      if (tunnel_.Encapsulate(p)) {
-        ok.PushBack(p);
-      } else {
-        fail.PushBack(p);
-      }
+    bool encapsulated[PacketBatch::kCapacity];
+    tunnel_.EncapsulateBatch(batch.begin(), batch.size(), encapsulated);
+    for (uint32_t i = 0; i < batch.size(); ++i) {
+      (encapsulated[i] ? ok : fail).PushBack(batch[i]);
     }
   }
   batch.Clear();

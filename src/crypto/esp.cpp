@@ -1,6 +1,9 @@
 #include "crypto/esp.hpp"
 
+#include <algorithm>
 #include <cstring>
+
+#include "common/log.hpp"
 
 #include "packet/headers.hpp"
 
@@ -8,7 +11,7 @@ namespace rb {
 
 EspTunnel::EspTunnel(const EspConfig& config) : config_(config), cbc_(config.key) {}
 
-bool EspTunnel::Encapsulate(Packet* p) {
+bool EspTunnel::Frame(Packet* p, CbcStream* stream) {
   if (p->length() < EthernetView::kSize + Ipv4View::kMinSize) {
     return false;
   }
@@ -16,19 +19,21 @@ bool EspTunnel::Encapsulate(Packet* p) {
   if (eth.ether_type() != EthernetView::kTypeIpv4) {
     return false;
   }
-  // Save the Ethernet header, then strip it; ESP operates on the IP packet.
-  uint8_t saved_eth[EthernetView::kSize];
-  memcpy(saved_eth, p->data(), EthernetView::kSize);
-  p->Pull(EthernetView::kSize);
-
-  uint32_t inner_len = p->length();
   // Trailer: pad + pad-length byte + next-header byte.
-  uint32_t pad = static_cast<uint32_t>(CbcPadLength(inner_len, /*esp_trailer=*/true));
-  uint32_t trailer = pad + 2;
+  const uint32_t inner_len = p->length() - EthernetView::kSize;
+  const uint32_t pad = static_cast<uint32_t>(CbcPadLength(inner_len, /*esp_trailer=*/true));
+  const uint32_t trailer = pad + 2;
   if (p->tailroom() < trailer) {
-    p->Push(EthernetView::kSize);  // restore before failing
     return false;
   }
+  RB_CHECK_MSG(p->headroom() + EthernetView::kSize >= kOuterBytes, "no headroom left");
+
+  // Park the Ethernet header at the tunnel frame's start (44 bytes ahead,
+  // so no overlap) before the IV overwrites its old place.
+  uint8_t* frame = p->data();
+  memcpy(frame - (kOuterBytes - EthernetView::kSize), frame, EthernetView::kSize);
+  p->Pull(EthernetView::kSize);
+
   uint8_t* tail = p->Put(trailer);
   for (uint32_t i = 0; i < pad; ++i) {
     tail[i] = static_cast<uint8_t>(i + 1);  // RFC 4303 monotonic padding
@@ -37,28 +42,52 @@ bool EspTunnel::Encapsulate(Packet* p) {
   tail[pad + 1] = 4;  // next header: IPv4 (tunnel mode)
 
   // IV: counter-derived, unique per packet.
-  uint8_t iv[kIvBytes];
-  uint64_t ctr = iv_counter_++;
-  memset(iv, 0, sizeof(iv));
+  uint8_t* iv = p->data() - kIvBytes;
+  const uint64_t ctr = iv_counter_++;
+  memset(iv, 0, 8);
   for (int i = 0; i < 8; ++i) {
     iv[8 + i] = static_cast<uint8_t>(ctr >> (56 - 8 * i));
   }
-  cbc_.Encrypt(p->data(), p->length(), iv);
+  *stream = CbcStream{p->data(), p->length(), iv};
+  return true;
+}
 
-  // Prepend IV, ESP header, outer IP header.
-  uint8_t* ivp = p->Push(kIvBytes);
-  memcpy(ivp, iv, kIvBytes);
+void EspTunnel::Seal(Packet* p) {
+  p->Push(kIvBytes);  // written by Frame
   uint8_t* esp = p->Push(kEspHeaderBytes);
   StoreBe32(esp, config_.spi);
   StoreBe32(esp + 4, seq_++);
   uint8_t* outer = p->Push(Ipv4View::kMinSize);
   Ipv4View::WriteDefault(outer, config_.tunnel_src, config_.tunnel_dst, Ipv4View::kProtoEsp,
                          static_cast<uint16_t>(p->length()));
+  p->Push(EthernetView::kSize);  // parked there by Frame
+}
 
-  // Restore Ethernet framing around the tunnel packet.
-  uint8_t* eth2 = p->Push(EthernetView::kSize);
-  memcpy(eth2, saved_eth, EthernetView::kSize);
-  return true;
+size_t EspTunnel::EncapsulateBatch(Packet* const* pkts, size_t n, bool* ok) {
+  size_t encapsulated = 0;
+  for (size_t first = 0; first < n; first += kChunk) {
+    const size_t end = std::min(n, first + kChunk);
+    CbcStream streams[kChunk];
+    size_t framed = 0;
+    for (size_t i = first; i < end; ++i) {
+      ok[i] = Frame(pkts[i], &streams[framed]);
+      framed += ok[i] ? 1 : 0;
+    }
+    cbc_.EncryptStreams(streams, framed);
+    for (size_t i = first; i < end; ++i) {
+      if (ok[i]) {
+        Seal(pkts[i]);
+      }
+    }
+    encapsulated += framed;
+  }
+  return encapsulated;
+}
+
+bool EspTunnel::Encapsulate(Packet* p) {
+  bool ok = false;
+  EncapsulateBatch(&p, 1, &ok);
+  return ok;
 }
 
 bool EspTunnel::Decapsulate(Packet* p) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "packet/headers.hpp"
 #include "packet/pool.hpp"
 #include "workload/synthetic.hpp"
@@ -161,6 +164,125 @@ TEST(EspTest, WrongKeyCorruptsPlaintextButParsesFraming) {
     EXPECT_NE(memcmp(p->data(), original.data(), original.size()), 0);
   }
   pool.Free(p);
+}
+
+// Frames for the batch-vs-one-by-one test: random IPv4 frames of 34 to
+// 1518 bytes, interleaved with frames that must fail — a non-IPv4
+// ethertype, shorter than Ethernet + IPv4, or too long for the ESP trailer
+// to fit in the tailroom — and long frames near that tailroom edge.
+std::vector<std::vector<uint8_t>> MixedFrames(Rng& rng, size_t n, size_t* must_fail) {
+  constexpr uint32_t kMaxFrame = Packet::kMaxCapacity - Packet::kDefaultHeadroom;
+  std::vector<std::vector<uint8_t>> frames;
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t len = static_cast<uint32_t>(rng.NextRange(34, 1518));
+    uint16_t type = EthernetView::kTypeIpv4;
+    switch (rng.NextBounded(8)) {
+      case 0:
+        type = EthernetView::kTypeArp;
+        ++*must_fail;
+        break;
+      case 1:
+        len = static_cast<uint32_t>(rng.NextRange(EthernetView::kSize, 33));
+        ++*must_fail;
+        break;
+      case 2:
+        len = kMaxFrame - static_cast<uint32_t>(rng.NextBounded(2));  // tailroom 0 or 1
+        ++*must_fail;
+        break;
+      case 3:
+        len = kMaxFrame - static_cast<uint32_t>(rng.NextBounded(32));  // either side of the edge
+        break;
+      default:
+        break;
+    }
+    std::vector<uint8_t> f(len);
+    for (auto& b : f) {
+      b = static_cast<uint8_t>(rng.Next());
+    }
+    f[12] = static_cast<uint8_t>(type >> 8);
+    f[13] = static_cast<uint8_t>(type);
+    frames.push_back(std::move(f));
+  }
+  return frames;
+}
+
+std::vector<Packet*> Load(PacketPool* pool, const std::vector<std::vector<uint8_t>>& frames) {
+  std::vector<Packet*> pkts;
+  for (const auto& f : frames) {
+    Packet* p = pool->Alloc();
+    p->SetPayload(f.data(), static_cast<uint32_t>(f.size()));
+    pkts.push_back(p);
+  }
+  return pkts;
+}
+
+// EncapsulateBatch against one-by-one Encapsulate on a second tunnel with the
+// same config: identical ok/fail split, output bytes and sequence state over
+// consecutive batches (so IVs and sequence numbers are consumed alike), and
+// every output decapsulates back to its frame through a third tunnel.
+TEST(EspBatchTest, BatchMatchesOneByOne) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    EspTunnel batched(TestConfig());
+    EspTunnel single(TestConfig());
+    EspTunnel dec(TestConfig());
+    for (size_t n : {1u, 7u, 64u, 65u, 200u}) {
+      size_t must_fail = 0;
+      const auto frames = MixedFrames(rng, n, &must_fail);
+      PacketPool pool(2 * n);
+      std::vector<Packet*> a = Load(&pool, frames);
+      std::vector<Packet*> b = Load(&pool, frames);
+      std::unique_ptr<bool[]> ok(new bool[n]);
+      const size_t got = batched.EncapsulateBatch(a.data(), n, ok.get());
+      size_t fails = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const bool one = single.Encapsulate(b[i]);
+        ASSERT_EQ(ok[i], one) << "seed " << seed << " n " << n << " frame " << i;
+        ASSERT_EQ(a[i]->length(), b[i]->length()) << i;
+        ASSERT_EQ(memcmp(a[i]->data(), b[i]->data(), a[i]->length()), 0) << i;
+        if (!one) {
+          ++fails;
+          ASSERT_EQ(a[i]->length(), frames[i].size()) << "a failed frame is left intact";
+          ASSERT_EQ(memcmp(a[i]->data(), frames[i].data(), frames[i].size()), 0) << i;
+          continue;
+        }
+        ASSERT_TRUE(dec.Decapsulate(a[i])) << i;
+        ASSERT_EQ(a[i]->length(), frames[i].size()) << i;
+        ASSERT_EQ(memcmp(a[i]->data(), frames[i].data(), frames[i].size()), 0) << i;
+      }
+      EXPECT_EQ(got, n - fails);
+      EXPECT_GE(fails, must_fail);
+      EXPECT_EQ(batched.next_seq(), single.next_seq());
+      for (size_t i = 0; i < n; ++i) {
+        pool.Free(a[i]);
+        pool.Free(b[i]);
+      }
+    }
+  }
+}
+
+// A frame that fails takes neither a sequence number nor an IV: the good
+// frame behind it encapsulates exactly as it would alone.
+TEST(EspBatchTest, FailedFramesConsumeNoSequenceOrIv) {
+  PacketPool pool(4);
+  EspTunnel with_bad(TestConfig());
+  EspTunnel alone(TestConfig());
+  Packet* bad = UdpFrame(&pool, 64);
+  EthernetView{bad->data()}.set_ether_type(EthernetView::kTypeArp);
+  Packet* good = UdpFrame(&pool, 576);
+  Packet* ref = UdpFrame(&pool, 576);
+  Packet* batch[] = {bad, good};
+  bool ok[2];
+  EXPECT_EQ(with_bad.EncapsulateBatch(batch, 2, ok), 1u);
+  EXPECT_FALSE(ok[0]);
+  EXPECT_TRUE(ok[1]);
+  ASSERT_TRUE(alone.Encapsulate(ref));
+  ASSERT_EQ(good->length(), ref->length());
+  EXPECT_EQ(memcmp(good->data(), ref->data(), ref->length()), 0);
+  EXPECT_EQ(with_bad.next_seq(), alone.next_seq());
+  pool.Free(bad);
+  pool.Free(good);
+  pool.Free(ref);
 }
 
 }  // namespace
