@@ -20,12 +20,21 @@
 namespace rb {
 namespace {
 
+// gtest prints a parameter that has no PrintTo as its raw bytes, and
+// gtest_discover_tests names each ctest case after that dump. Padding bytes
+// would carry whatever the stack held, so the case names changed with every
+// build and run. Every byte is a field instead: `name_tag` fills the slot
+// after `nodes` with the bytes each case was first registered under, and
+// `tail` zeroes the end, so the ctest names are the same on every run.
 struct SweepParam {
   uint16_t nodes;
+  uint16_t name_tag;
   uint32_t frame_bytes;
   double per_port_gbps;
   bool admissible;  // inside the safe envelope -> must be loss-free
+  uint8_t tail[7] = {};
 };
+static_assert(sizeof(SweepParam) == 24, "SweepParam must have no padding");
 
 class ClusterSweep : public ::testing::TestWithParam<SweepParam> {};
 
@@ -65,13 +74,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         // Admissible points: well inside the 64 B CPU envelope
         // (~3.2 Gbps/port) and the large-packet NIC envelope.
-        SweepParam{2, 64, 2.0, true}, SweepParam{3, 64, 2.5, true},
-        SweepParam{4, 64, 2.5, true}, SweepParam{6, 64, 2.5, true},
-        SweepParam{8, 64, 2.5, true}, SweepParam{4, 300, 6.0, true},
-        SweepParam{4, 1500, 8.0, true}, SweepParam{8, 1500, 8.0, true},
+        SweepParam{2, 0, 64, 2.0, true}, SweepParam{3, 0, 64, 2.5, true},
+        SweepParam{4, 0, 64, 2.5, true}, SweepParam{6, 0, 64, 2.5, true},
+        SweepParam{8, 0x4828, 64, 2.5, true}, SweepParam{4, 0xFFFF, 300, 6.0, true},
+        SweepParam{4, 0, 1500, 8.0, true}, SweepParam{8, 0x9F25, 1500, 8.0, true},
         // Inadmissible points: far beyond capacity.
-        SweepParam{4, 64, 6.0, false}, SweepParam{8, 64, 6.0, false},
-        SweepParam{4, 1500, 14.0, false}));
+        SweepParam{4, 0, 64, 6.0, false}, SweepParam{8, 0xFFFF, 64, 6.0, false},
+        SweepParam{4, 0, 1500, 14.0, false}));
 
 class LatencyMonotone : public ::testing::TestWithParam<uint16_t> {};
 
