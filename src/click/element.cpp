@@ -11,41 +11,15 @@ Element::Element(int n_inputs, int n_outputs)
   RB_CHECK(n_inputs >= 0 && n_outputs >= 0);
 }
 
-void Element::Push(int /*port*/, Packet* p) { Drop(p); }
+void Element::PushBatch(int /*port*/, PacketBatch& batch) { DropBatch(batch); }
 
-Packet* Element::Pull(int /*port*/) {
+size_t Element::PullBatch(int /*port*/, PacketBatch* out, int max) {
   // Pass-through default for single-input agnostic elements; elements with
-  // no inputs return nullptr.
+  // no inputs have nothing to give.
   if (n_inputs() >= 1) {
-    return Input(0);
+    return InputBatch(0, out, max);
   }
-  return nullptr;
-}
-
-void Element::PushBatch(int port, PacketBatch& batch) {
-  // Per-packet fallback: a legacy element only overrides Push, so a batch
-  // arriving from a batch-native upstream is drained one virtual call at a
-  // time. Ownership of each packet transfers on the call, so the batch is
-  // cleared first and iterated from a snapshot index.
-  const uint32_t n = batch.size();
-  for (uint32_t i = 0; i < n; ++i) {
-    Push(port, batch[i]);
-  }
-  batch.Clear();
-}
-
-size_t Element::PullBatch(int port, PacketBatch* out, int max) {
-  // Per-packet fallback for legacy pull elements.
-  size_t moved = 0;
-  while (moved < static_cast<size_t>(max) && !out->full()) {
-    Packet* p = Pull(port);
-    if (p == nullptr) {
-      break;
-    }
-    out->PushBack(p);
-    moved++;
-  }
-  return moved;
+  return 0;
 }
 
 void Element::Initialize(Router* /*router*/) {}
@@ -73,8 +47,7 @@ void Element::AddHandlers(telemetry::HandlerRegistry* handlers) {
   RB_CHECK(handlers != nullptr);
   const std::string base = name_ + ".";
   handlers->AddRead(base + "config", [this] {
-    return Format("class %s in %d out %d batch_native %d", class_name(), n_inputs(), n_outputs(),
-                  batch_native() ? 1 : 0);
+    return Format("class %s in %d out %d", class_name(), n_inputs(), n_outputs());
   });
   handlers->AddRead(base + "counts", [this] {
     // Packets out is only counted when telemetry is bound (the hot path
@@ -94,29 +67,6 @@ void Element::AddHandlers(telemetry::HandlerRegistry* handlers) {
                   static_cast<unsigned long long>(s.count), s.mean(), s.Percentile(50),
                   s.Percentile(95));
   });
-}
-
-void Element::Output(int port, Packet* p) {
-  RB_CHECK(port >= 0 && port < n_outputs());
-  PortRef& ref = outputs_[static_cast<size_t>(port)];
-  if (!ref.connected()) {
-    Drop(p);
-    return;
-  }
-  if (tele_packets_ != nullptr) {
-    tele_packets_->Inc();
-  }
-  if (tracer_ != nullptr && p->trace_handle() != 0) {
-    // Record the hop at the receiving element, timestamped on handoff.
-    tracer_->Record(p->trace_handle(), ref.element->profile_scope(),
-                    telemetry::NowSeconds());
-  }
-  // Cycle attribution: the downstream Push (and everything it pushes in
-  // turn) runs under the receiving element's scope, so nested handoffs
-  // build the pipeline -> element hierarchy automatically.
-  RB_PROF_SCOPE(ref.element->profile_scope());
-  RB_PROF_WORK(1, p->length());
-  ref.element->Push(ref.port, p);
 }
 
 void Element::OutputBatch(int port, PacketBatch& batch) {
@@ -149,8 +99,10 @@ void Element::OutputBatch(int port, PacketBatch& batch) {
       }
     }
   }
-  // One profiler scope entry covers the whole burst — the per-batch
-  // amortization the refactor exists for.
+  // Cycle attribution: the downstream PushBatch (and everything it pushes
+  // in turn) runs under the receiving element's scope, so nested handoffs
+  // build the pipeline -> element hierarchy. One scope entry covers the
+  // whole burst.
   RB_PROF_SCOPE(ref.element->profile_scope());
   RB_PROF_WORK(n, batch.TotalBytes());
   ref.element->PushBatch(ref.port, batch);
@@ -206,28 +158,16 @@ void Element::DropBatch(PacketBatch& batch) {
   batch.ReleaseAll();
 }
 
-Packet* Element::Input(int port) {
-  RB_CHECK(port >= 0 && port < n_inputs());
-  PortRef& ref = inputs_[static_cast<size_t>(port)];
-  if (!ref.connected()) {
-    return nullptr;
-  }
-  // Pull-side cycles are charged to the upstream element being drained
-  // (packets are counted on the push side only, to avoid double counting).
-  RB_PROF_SCOPE(ref.element->profile_scope());
-  return ref.element->Pull(ref.port);
-}
-
 size_t Element::InputBatch(int port, PacketBatch* out, int max) {
   RB_CHECK(port >= 0 && port < n_inputs());
   PortRef& ref = inputs_[static_cast<size_t>(port)];
   if (!ref.connected()) {
     return 0;
   }
+  // Pull-side cycles are charged to the upstream element being drained
+  // (packets are counted on the push side only, to avoid double counting).
   RB_PROF_SCOPE(ref.element->profile_scope());
   return ref.element->PullBatch(ref.port, out, max);
 }
-
-void BatchElement::PushBatch(int /*port*/, PacketBatch& batch) { DropBatch(batch); }
 
 }  // namespace rb

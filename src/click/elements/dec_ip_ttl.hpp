@@ -10,9 +10,9 @@
 
 namespace rb {
 
-class DecIpTtl : public BatchElement {
+class DecIpTtl : public Element {
  public:
-  DecIpTtl() : BatchElement(1, 2) {}
+  DecIpTtl() : Element(1, 2) {}
   const char* class_name() const override { return "DecIPTTL"; }
   void PushBatch(int port, PacketBatch& batch) override;
 

@@ -11,7 +11,7 @@
 
 namespace rb {
 
-class EtherEncap : public BatchElement {
+class EtherEncap : public Element {
  public:
   EtherEncap(const MacAddress& src, const MacAddress& dst, uint16_t ether_type);
   const char* class_name() const override { return "EtherEncap"; }
@@ -23,14 +23,14 @@ class EtherEncap : public BatchElement {
   uint16_t ether_type_;
 };
 
-class StripEther : public BatchElement {
+class StripEther : public Element {
  public:
-  StripEther() : BatchElement(1, 1) {}
+  StripEther() : Element(1, 1) {}
   const char* class_name() const override { return "StripEther"; }
   void PushBatch(int port, PacketBatch& batch) override;
 };
 
-class EtherRewrite : public BatchElement {
+class EtherRewrite : public Element {
  public:
   EtherRewrite(const MacAddress& src, const MacAddress& dst);
   const char* class_name() const override { return "EtherRewrite"; }
@@ -44,7 +44,7 @@ class EtherRewrite : public BatchElement {
 // Writes dst MAC = MacForNode(p->output_node()) and stamps the VLB phase.
 // The input node runs this once after routing; downstream cluster nodes
 // then steer by MAC without touching IP headers.
-class VlbEncap : public BatchElement {
+class VlbEncap : public Element {
  public:
   explicit VlbEncap(const MacAddress& src);
   const char* class_name() const override { return "VlbEncap"; }

@@ -8,7 +8,7 @@ namespace rb {
 
 FromDevice::FromDevice(NicPort* port, uint16_t rx_queue, uint16_t kp, int home_core,
                        uint16_t graph_batch)
-    : BatchElement(0, 1),
+    : Element(0, 1),
       driver_(port, rx_queue, DriverConfig{kp}),
       home_core_(home_core),
       graph_batch_(graph_batch) {}

@@ -26,7 +26,7 @@
 
 namespace rb {
 
-class FromDevice : public BatchElement {
+class FromDevice : public Element {
  public:
   // home_core: the core this queue's polling is pinned to (-1 = any).
   // graph_batch: max packets per downstream PushBatch (0 = whole burst).

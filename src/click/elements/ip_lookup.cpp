@@ -23,7 +23,7 @@ IpLookup::IpLookup(const LpmTable* table, int n_next_hops)
     : IpLookup(table, n_next_hops, IdentityMap(n_next_hops)) {}
 
 IpLookup::IpLookup(const LpmTable* table, int n_outputs, std::vector<int32_t> port_for_hop)
-    : BatchElement(1, n_outputs),
+    : Element(1, n_outputs),
       table_(table),
       port_for_hop_(std::move(port_for_hop)),
       lanes_(static_cast<size_t>(n_outputs)) {

@@ -18,7 +18,7 @@ telemetry::ScopeId DecryptPhase() {
 }  // namespace
 #endif
 
-IpsecEncrypt::IpsecEncrypt(const EspConfig& config) : BatchElement(1, 2), tunnel_(config) {}
+IpsecEncrypt::IpsecEncrypt(const EspConfig& config) : Element(1, 2), tunnel_(config) {}
 
 void IpsecEncrypt::PushBatch(int /*port*/, PacketBatch& batch) {
   PacketBatch ok;
@@ -39,7 +39,7 @@ void IpsecEncrypt::PushBatch(int /*port*/, PacketBatch& batch) {
   OutputBatch(1, fail);
 }
 
-IpsecDecrypt::IpsecDecrypt(const EspConfig& config) : BatchElement(1, 2), tunnel_(config) {}
+IpsecDecrypt::IpsecDecrypt(const EspConfig& config) : Element(1, 2), tunnel_(config) {}
 
 void IpsecDecrypt::PushBatch(int /*port*/, PacketBatch& batch) {
   PacketBatch ok;

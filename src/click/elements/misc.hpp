@@ -1,7 +1,6 @@
 // Small utility elements: Counter, Discard, Tee, Paint/PaintSwitch,
-// SetFlowHash, and ForEach glue for tests. All batch-native; Counter also
-// forwards batch pulls so it can sit on a pull path without degrading the
-// downstream puller to per-packet transfers.
+// SetFlowHash, and ForEach glue for tests. Counter also counts batch
+// pulls, so it can sit on a pull path between a Queue and its puller.
 #ifndef RB_CLICK_ELEMENTS_MISC_HPP_
 #define RB_CLICK_ELEMENTS_MISC_HPP_
 
@@ -15,12 +14,11 @@
 namespace rb {
 
 // Counts packets and bytes, passes through.
-class CounterElement : public BatchElement {
+class CounterElement : public Element {
  public:
-  CounterElement() : BatchElement(1, 1) {}
+  CounterElement() : Element(1, 1) {}
   const char* class_name() const override { return "Counter"; }
   void PushBatch(int port, PacketBatch& batch) override;
-  Packet* Pull(int port) override;
   size_t PullBatch(int port, PacketBatch* out, int max) override;
 
   const PortCounters& counters() const { return counters_; }
@@ -30,9 +28,9 @@ class CounterElement : public BatchElement {
 };
 
 // Frees every packet it receives.
-class Discard : public BatchElement {
+class Discard : public Element {
  public:
-  Discard() : BatchElement(1, 0) {}
+  Discard() : Element(1, 0) {}
   const char* class_name() const override { return "Discard"; }
   void PushBatch(int port, PacketBatch& batch) override;
 
@@ -44,10 +42,10 @@ class Discard : public BatchElement {
 
 // Copies each packet to all outputs (allocating the copies from the
 // original packet's pool; drops copies when the pool is exhausted).
-class Tee : public BatchElement {
+class Tee : public Element {
  public:
   explicit Tee(int n_outputs)
-      : BatchElement(1, n_outputs), lanes_(static_cast<size_t>(n_outputs)) {}
+      : Element(1, n_outputs), lanes_(static_cast<size_t>(n_outputs)) {}
   const char* class_name() const override { return "Tee"; }
   void PushBatch(int port, PacketBatch& batch) override;
 
@@ -56,9 +54,9 @@ class Tee : public BatchElement {
 };
 
 // Stamps the paint annotation.
-class Paint : public BatchElement {
+class Paint : public Element {
  public:
-  explicit Paint(uint8_t color) : BatchElement(1, 1), color_(color) {}
+  explicit Paint(uint8_t color) : Element(1, 1), color_(color) {}
   const char* class_name() const override { return "Paint"; }
   void PushBatch(int port, PacketBatch& batch) override;
 
@@ -67,10 +65,10 @@ class Paint : public BatchElement {
 };
 
 // Demuxes on the paint annotation: paint c exits output min(c, n-1).
-class PaintSwitch : public BatchElement {
+class PaintSwitch : public Element {
  public:
   explicit PaintSwitch(int n_outputs)
-      : BatchElement(1, n_outputs), lanes_(static_cast<size_t>(n_outputs)) {}
+      : Element(1, n_outputs), lanes_(static_cast<size_t>(n_outputs)) {}
   const char* class_name() const override { return "PaintSwitch"; }
   void PushBatch(int port, PacketBatch& batch) override;
 
@@ -80,17 +78,17 @@ class PaintSwitch : public BatchElement {
 
 // Recomputes the flow-hash annotation from the 5-tuple (for paths where
 // headers were rewritten after NIC RSS stamped the hash).
-class SetFlowHash : public BatchElement {
+class SetFlowHash : public Element {
  public:
-  SetFlowHash() : BatchElement(1, 1) {}
+  SetFlowHash() : Element(1, 1) {}
   const char* class_name() const override { return "SetFlowHash"; }
   void PushBatch(int port, PacketBatch& batch) override;
 };
 
 // Applies a user function to each packet (glue for tests and experiments).
-class ForEach : public BatchElement {
+class ForEach : public Element {
  public:
-  explicit ForEach(std::function<void(Packet*)> fn) : BatchElement(1, 1), fn_(std::move(fn)) {}
+  explicit ForEach(std::function<void(Packet*)> fn) : Element(1, 1), fn_(std::move(fn)) {}
   const char* class_name() const override { return "ForEach"; }
   void PushBatch(int /*port*/, PacketBatch& batch) override {
     for (Packet* p : batch) {

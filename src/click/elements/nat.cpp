@@ -36,7 +36,7 @@ void PatchL4(uint8_t* l4, uint8_t protocol, uint32_t old_ip, uint32_t new_ip,
 }  // namespace
 
 Nat::Nat(const NatOptions& options)
-    : BatchElement(2, 2),
+    : Element(2, 2),
       opt_(options),
       table_([&options] {
         FlowTableConfig tc;

@@ -29,7 +29,7 @@ QueueOptions Normalize(QueueOptions opt) {
 QueueElement::QueueElement(size_t capacity) : QueueElement(QueueOptions{.capacity = capacity}) {}
 
 QueueElement::QueueElement(const QueueOptions& options)
-    : BatchElement(1, 1),
+    : Element(1, 1),
       opt_(Normalize(options)),
       ring_(opt_.capacity),
       clock_(&telemetry::NowSeconds) {
@@ -309,27 +309,6 @@ bool QueueElement::CodelShouldDrop(double sojourn, double now) {
     return true;
   }
   return false;
-}
-
-Packet* QueueElement::Pull(int /*port*/) {
-  const bool codel = opt_.aqm == AqmMode::kCoDel;
-  const bool note = codel || tracer() != nullptr;
-  Packet* p = nullptr;
-  while (ring_.TryPop(&p)) {
-    if (note) {
-      const double now = clock_();
-      if (codel && CodelShouldDrop(now - p->enqueue_time(), now)) {
-        DropOne(p, /*aqm=*/true);
-        p = nullptr;
-        continue;
-      }
-      NoteDequeue(p, now);
-    }
-    MaybeUnblock();
-    return p;
-  }
-  MaybeUnblock();
-  return nullptr;
 }
 
 size_t QueueElement::PullBatch(int /*port*/, PacketBatch* out, int max) {

@@ -53,7 +53,7 @@ struct QueueOptions {
   double codel_interval_s = 100e-3;  // how long above target before drops
 };
 
-class QueueElement : public BatchElement {
+class QueueElement : public Element {
  public:
   explicit QueueElement(size_t capacity = 1024);
   explicit QueueElement(const QueueOptions& options);
@@ -61,7 +61,6 @@ class QueueElement : public BatchElement {
   const char* class_name() const override { return "Queue"; }
 
   void PushBatch(int port, PacketBatch& batch) override;
-  Packet* Pull(int port) override;
   size_t PullBatch(int port, PacketBatch* out, int max) override;
 
   // Adds an occupancy high-water gauge ("elem/<name>/occupancy_hw"),

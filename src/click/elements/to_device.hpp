@@ -16,7 +16,7 @@
 
 namespace rb {
 
-class ToDevice : public BatchElement {
+class ToDevice : public Element {
  public:
   ToDevice(NicPort* port, uint16_t tx_queue, uint16_t burst = 32, int home_core = -1);
 

@@ -26,7 +26,7 @@ void Router::Connect(Element* from, int out_port, Element* to, int in_port) {
   out_ref = {to, in_port};
   // Push inputs may fan in (multiple upstream elements pushing into the
   // same port, as in Click). The input back-reference records the first
-  // upstream only; it is what Pull() follows, so pull paths must stay
+  // upstream only; it is what PullBatch() follows, so pull paths must stay
   // single-wired by construction (Queue -> ToDevice chains are).
   if (!in_ref.connected()) {
     in_ref = {from, out_port};

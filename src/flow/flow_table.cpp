@@ -330,6 +330,7 @@ FlowTableStats FlowTable::stats() const {
 }
 
 int FlowTable::ProbeLengthPercentile(double p) const {
+  RB_CHECK_MSG(p >= 0 && p <= 1, "probe-length quantile is a fraction in [0, 1]");
   uint64_t total = 0;
   for (const auto& c : probe_hist_) {
     total += c.load(std::memory_order_relaxed);
@@ -337,7 +338,8 @@ int FlowTable::ProbeLengthPercentile(double p) const {
   if (total == 0) {
     return 0;
   }
-  const uint64_t rank = static_cast<uint64_t>(p * static_cast<double>(total));
+  const uint64_t rank =
+      std::min(static_cast<uint64_t>(p * static_cast<double>(total)), total - 1);
   uint64_t seen = 0;
   for (size_t b = 0; b < probe_hist_.size(); ++b) {
     seen += probe_hist_[b].load(std::memory_order_relaxed);

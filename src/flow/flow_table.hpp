@@ -180,8 +180,11 @@ class FlowTable {
   bool SetWatermarks(double hi, double lo);
 
   FlowTableStats stats() const;
-  // Probe length (in buckets, 1-based) at the given percentile over all
-  // FindOrInsert/Find probes so far; 0 when nothing was probed.
+  // Probe length (in buckets, 1-based) at quantile `p` over all
+  // FindOrInsert/Find probes so far; 0 when nothing was probed. `p` is a
+  // fraction in [0, 1] (0.99 for the p99), not a 0-100 percentile; a
+  // value outside that range fails an RB_CHECK. p = 1 is the longest
+  // probe seen.
   int ProbeLengthPercentile(double p) const;
 
   // Registers "<owner>.flows" (live flow count), ".occupancy" (same —

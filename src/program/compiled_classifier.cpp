@@ -7,7 +7,7 @@ namespace rb {
 
 CompiledClassifier::CompiledClassifier(program::MatchProgram prog, int n_element_outputs,
                                        std::string collapsed)
-    : BatchElement(1, n_element_outputs),
+    : Element(1, n_element_outputs),
       prog_(std::move(prog)),
       collapsed_(std::move(collapsed)),
       lanes_(static_cast<size_t>(prog_.n_outputs())),

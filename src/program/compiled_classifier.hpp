@@ -24,7 +24,7 @@
 
 namespace rb {
 
-class CompiledClassifier : public BatchElement {
+class CompiledClassifier : public Element {
  public:
   // `collapsed` names the interpreted elements this one replaces (shown in
   // the config handler and rb_top); empty for a directly-configured

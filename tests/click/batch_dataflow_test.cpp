@@ -1,7 +1,7 @@
-// End-to-end tests of the batch-native dataflow: legacy<->batch interop,
-// the Queue partial-fit drop accounting, FromDevice graph-batch chunking,
-// the graph-walk guarantee that every production element is batch-native,
-// and the two-core batched Queue handoff under real threads.
+// End-to-end tests of the batch dataflow: the Queue partial-fit drop
+// accounting, FromDevice graph-batch chunking (graph_batch = 1 being the
+// per-packet reproduction), the batch-size histogram, and the two-core
+// batched Queue handoff under real threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,122 +11,20 @@
 #include "click/elements/misc.hpp"
 #include "click/elements/queue.hpp"
 #include "click/router.hpp"
-#include "core/cluster_router.hpp"
-#include "core/single_server_router.hpp"
 #include "packet/pool.hpp"
+#include "testing/dataflow.hpp"
 #include "workload/synthetic.hpp"
 
 namespace rb {
 namespace {
 
-// A legacy (per-packet) element: records every Push it receives.
-class LegacySink : public Element {
+// A pass-through (stand-in for any element that forwards its input).
+class BatchRelay : public Element {
  public:
-  LegacySink() : Element(1, 0) {}
-  const char* class_name() const override { return "LegacySink"; }
-  void Push(int /*port*/, Packet* p) override { received.push_back(p); }
-  std::vector<Packet*> received;
-};
-
-// A legacy pass-through: per-packet Push that forwards to output 0.
-class LegacyRelay : public Element {
- public:
-  LegacyRelay() : Element(1, 1) {}
-  const char* class_name() const override { return "LegacyRelay"; }
-  void Push(int /*port*/, Packet* p) override { Output(0, p); }
-};
-
-// A batch-native sink: records the size of every batch it receives.
-class BatchSink : public BatchElement {
- public:
-  BatchSink() : BatchElement(1, 0) {}
-  const char* class_name() const override { return "BatchSink"; }
-  void PushBatch(int /*port*/, PacketBatch& batch) override {
-    batch_sizes.push_back(batch.size());
-    for (Packet* p : batch) {
-      received.push_back(p);
-    }
-    batch.Clear();
-  }
-  std::vector<uint32_t> batch_sizes;
-  std::vector<Packet*> received;
-};
-
-// A batch-native pass-through (stand-in for any ported element).
-class BatchRelay : public BatchElement {
- public:
-  BatchRelay() : BatchElement(1, 1) {}
+  BatchRelay() : Element(1, 1) {}
   const char* class_name() const override { return "BatchRelay"; }
   void PushBatch(int /*port*/, PacketBatch& batch) override { OutputBatch(0, batch); }
 };
-
-TEST(BatchDataflowTest, BatchIntoLegacyFallsBackToPerPacket) {
-  Router r;
-  auto* relay = r.Add<BatchRelay>();
-  auto* sink = r.Add<LegacySink>();
-  r.Connect(relay, 0, sink, 0);
-  r.Initialize();
-
-  PacketPool pool(8);
-  PacketBatch batch;
-  std::vector<Packet*> sent;
-  for (int i = 0; i < 5; ++i) {
-    Packet* p = pool.Alloc();
-    sent.push_back(p);
-    batch.PushBack(p);
-  }
-  relay->PushBatch(0, batch);
-  EXPECT_TRUE(batch.empty()) << "callee must leave the pushed batch empty";
-  EXPECT_EQ(sink->received, sent) << "legacy fallback must preserve order";
-  for (Packet* p : sent) {
-    pool.Free(p);
-  }
-}
-
-TEST(BatchDataflowTest, PerPacketPushIntoBatchNativeWrapsIntoBatch) {
-  Router r;
-  auto* relay = r.Add<LegacyRelay>();
-  auto* sink = r.Add<BatchSink>();
-  r.Connect(relay, 0, sink, 0);
-  r.Initialize();
-
-  PacketPool pool(4);
-  Packet* p = pool.Alloc();
-  relay->Push(0, p);
-  ASSERT_EQ(sink->received.size(), 1u);
-  EXPECT_EQ(sink->received[0], p);
-  ASSERT_EQ(sink->batch_sizes.size(), 1u);
-  EXPECT_EQ(sink->batch_sizes[0], 1u) << "per-packet push arrives as a 1-packet batch";
-  pool.Free(p);
-}
-
-TEST(BatchDataflowTest, MixedChainLegacyBetweenBatchNativeElements) {
-  // batch-native -> legacy -> batch-native: the burst degrades to
-  // per-packet across the legacy hop and re-enters batch-native elements
-  // as 1-packet batches, with no packet lost or reordered.
-  Router r;
-  auto* head = r.Add<BatchRelay>();
-  auto* legacy = r.Add<LegacyRelay>();
-  auto* sink = r.Add<BatchSink>();
-  r.Connect(head, 0, legacy, 0);
-  r.Connect(legacy, 0, sink, 0);
-  r.Initialize();
-
-  PacketPool pool(8);
-  PacketBatch batch;
-  std::vector<Packet*> sent;
-  for (int i = 0; i < 6; ++i) {
-    Packet* p = pool.Alloc();
-    sent.push_back(p);
-    batch.PushBack(p);
-  }
-  head->PushBatch(0, batch);
-  EXPECT_EQ(sink->received, sent);
-  EXPECT_EQ(sink->batch_sizes.size(), 6u);
-  for (Packet* p : sent) {
-    pool.Free(p);
-  }
-}
 
 TEST(BatchDataflowTest, QueuePartialFitCountsOnlyOverflowAsDrops) {
   // The satellite drop-accounting fix: a burst that straddles capacity
@@ -159,14 +57,16 @@ TEST(BatchDataflowTest, QueuePartialFitCountsOnlyOverflowAsDrops) {
   EXPECT_EQ(pool.available(), 1024u);
 }
 
-TEST(BatchDataflowTest, FromDeviceSplitsPollBurstAtGraphBatch) {
+// Polls 20 queued frames through one FromDevice RunOnce and returns the
+// size of every batch that left its output.
+std::vector<uint32_t> PollBurstChunks(int graph_batch) {
   PacketPool pool(64);
   NicConfig cfg;
   cfg.kn = 1;
   NicPort nic(cfg);
   Router r;
-  auto* from = r.Add<FromDevice>(&nic, 0, 32, -1, /*graph_batch=*/8);
-  auto* sink = r.Add<BatchSink>();
+  auto* from = r.Add<FromDevice>(&nic, 0, 32, -1, graph_batch);
+  auto* sink = r.Add<CollectSink>();
   r.Connect(from, 0, sink, 0);
   r.Initialize();
 
@@ -178,28 +78,40 @@ TEST(BatchDataflowTest, FromDeviceSplitsPollBurstAtGraphBatch) {
   }
   nic.FlushAllStaged();
   from->RunOnce();
-  // 20 polled packets leave as ceil(20/8) = 3 chunks: 8, 8, 4.
-  EXPECT_EQ(sink->batch_sizes, (std::vector<uint32_t>{8, 8, 4}));
-  for (Packet* p : sink->received) {
+  EXPECT_EQ(sink->got.size(), 20u);
+  for (Packet* p : sink->got) {
     pool.Free(p);
   }
+  return sink->batch_sizes;
+}
+
+TEST(BatchDataflowTest, FromDeviceSplitsPollBurstAtGraphBatch) {
+  // 20 polled packets leave as ceil(20/8) = 3 chunks: 8, 8, 4.
+  EXPECT_EQ(PollBurstChunks(/*graph_batch=*/8), (std::vector<uint32_t>{8, 8, 4}));
+  // graph_batch = 1 is how per-packet dataflow is reproduced: the same
+  // burst leaves as 20 one-packet batches.
+  EXPECT_EQ(PollBurstChunks(/*graph_batch=*/1), std::vector<uint32_t>(20, 1));
 }
 
 TEST(BatchDataflowTest, BatchSizeHistogramObservesBursts) {
   telemetry::MetricRegistry registry;
   Router r;
   auto* relay = r.Add<BatchRelay>();
-  auto* sink = r.Add<BatchSink>();
+  auto* sink = r.Add<CollectSink>();
   r.Connect(relay, 0, sink, 0);
   r.BindTelemetry(&registry, nullptr);
   r.Initialize();
 
   PacketPool pool(32);
   PacketBatch batch;
+  std::vector<Packet*> sent;
   for (int i = 0; i < 7; ++i) {
-    batch.PushBack(pool.Alloc());
+    sent.push_back(pool.Alloc());
+    batch.PushBack(sent.back());
   }
   relay->PushBatch(0, batch);
+  EXPECT_TRUE(batch.empty()) << "callee must leave the pushed batch empty";
+  EXPECT_EQ(sink->got, sent) << "a relayed burst keeps its order";
 
   auto snap = registry
                   .GetHistogram("elem/" + sink->name() + "/batch_size",
@@ -207,40 +119,8 @@ TEST(BatchDataflowTest, BatchSizeHistogramObservesBursts) {
                   ->Snapshot();
   EXPECT_EQ(snap.count, 1u);
   EXPECT_DOUBLE_EQ(snap.max, 7.0);
-  for (Packet* p : sink->received) {
+  for (Packet* p : sink->got) {
     pool.Free(p);
-  }
-}
-
-TEST(BatchDataflowTest, EveryProductionElementIsBatchNative) {
-  // The acceptance-criteria graph walk: every element the production
-  // routers instantiate must implement the batch API natively.
-  for (App app : {App::kMinimalForwarding, App::kIpRouting, App::kIpsec}) {
-    SingleServerConfig cfg;
-    cfg.num_ports = 2;
-    cfg.queues_per_port = 1;
-    cfg.cores = 1;
-    cfg.app = app;
-    cfg.pool_packets = 2048;
-    cfg.table.num_routes = 1024;
-    SingleServerRouter router(cfg);
-    router.Initialize();
-    for (const auto& e : router.graph().elements()) {
-      EXPECT_TRUE(e->batch_native())
-          << "element " << e->name() << " (app " << AppName(app) << ") is not batch-native";
-    }
-  }
-
-  FunctionalClusterConfig ccfg;
-  ccfg.num_nodes = 3;
-  ccfg.pool_packets = 4096;
-  ccfg.routes = 64;
-  FunctionalCluster cluster(ccfg);
-  for (uint16_t node = 0; node < ccfg.num_nodes; ++node) {
-    for (const auto& e : cluster.node_graph(node).elements()) {
-      EXPECT_TRUE(e->batch_native())
-          << "cluster node " << node << " element " << e->name() << " is not batch-native";
-    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include "click/elements/misc.hpp"
 #include "lookup/radix_trie.hpp"
 #include "packet/pool.hpp"
+#include "testing/dataflow.hpp"
 #include "workload/synthetic.hpp"
 
 namespace rb {
@@ -118,7 +119,7 @@ TEST_F(ConfigParserTest, NamedElementsAreShared) {
   auto* counter = dynamic_cast<CounterElement*>(r.elements.at("c"));
   ASSERT_NE(counter, nullptr);
   Packet* p = AllocFrame(Frame(), &pool_);
-  counter->Push(0, p);
+  PushOne(counter, p);
   EXPECT_EQ(counter->counters().packets, 1u);
   EXPECT_EQ(pool_.available(), pool_.capacity());  // both tee copies discarded
 }
@@ -195,8 +196,8 @@ TEST_F(ConfigParserTest, ClassifierChainWorks) {
   auto* cls = r.elements.at("cls");
   FrameSpec tcp_spec = Frame();
   tcp_spec.flow.protocol = 6;
-  cls->Push(0, AllocFrame(tcp_spec, &pool_));
-  cls->Push(0, AllocFrame(Frame(), &pool_));  // udp
+  PushOne(cls, AllocFrame(tcp_spec, &pool_));
+  PushOne(cls, AllocFrame(Frame(), &pool_));  // udp
   EXPECT_EQ(dynamic_cast<CounterElement*>(r.elements.at("tcp"))->counters().packets, 1u);
   EXPECT_EQ(dynamic_cast<CounterElement*>(r.elements.at("udp"))->counters().packets, 1u);
   EXPECT_EQ(dynamic_cast<CounterElement*>(r.elements.at("other"))->counters().packets, 0u);

@@ -5,33 +5,24 @@
 #include "click/elements/misc.hpp"
 #include "click/router.hpp"
 #include "packet/pool.hpp"
+#include "testing/dataflow.hpp"
 
 namespace rb {
 namespace {
-
-// A push element that records what it received.
-class Sink : public Element {
- public:
-  Sink() : Element(1, 0) {}
-  const char* class_name() const override { return "Sink"; }
-  void Push(int /*port*/, Packet* p) override {
-    received.push_back(p);
-  }
-  std::vector<Packet*> received;
-};
 
 // A pull source feeding from a vector.
 class VectorSource : public Element {
  public:
   VectorSource() : Element(0, 1) {}
   const char* class_name() const override { return "VectorSource"; }
-  Packet* Pull(int /*port*/) override {
-    if (items.empty()) {
-      return nullptr;
+  size_t PullBatch(int /*port*/, PacketBatch* out, int max) override {
+    size_t moved = 0;
+    while (moved < static_cast<size_t>(max) && !out->full() && !items.empty()) {
+      out->PushBack(items.back());
+      items.pop_back();
+      moved++;
     }
-    Packet* p = items.back();
-    items.pop_back();
-    return p;
+    return moved;
   }
   std::vector<Packet*> items;
 };
@@ -39,15 +30,15 @@ class VectorSource : public Element {
 TEST(ElementTest, OutputReachesConnectedPeer) {
   Router r;
   auto* counter = r.Add<CounterElement>();
-  auto* sink = r.Add<Sink>();
+  auto* sink = r.Add<CollectSink>();
   r.Connect(counter, 0, sink, 0);
   r.Initialize();
   PacketPool pool(2);
   Packet* p = pool.Alloc();
   p->SetLength(64);
-  counter->Push(0, p);
-  ASSERT_EQ(sink->received.size(), 1u);
-  EXPECT_EQ(sink->received[0], p);
+  PushOne(counter, p);
+  ASSERT_EQ(sink->got.size(), 1u);
+  EXPECT_EQ(sink->got[0], p);
   EXPECT_EQ(counter->counters().packets, 1u);
   pool.Free(p);
 }
@@ -58,7 +49,7 @@ TEST(ElementTest, UnconnectedOutputDropsAndCounts) {
   r.Initialize();
   PacketPool pool(1);
   Packet* p = pool.Alloc();
-  counter->Push(0, p);
+  PushOne(counter, p);
   EXPECT_EQ(counter->drops(), 1u);
   EXPECT_EQ(pool.available(), 1u) << "dropped packet must return to pool";
 }
@@ -73,8 +64,8 @@ TEST(ElementTest, PullFlowsThroughChain) {
   Packet* p = pool.Alloc();
   p->SetLength(100);
   src->items.push_back(p);
-  EXPECT_EQ(counter->Pull(0), p);
-  EXPECT_EQ(counter->Pull(0), nullptr);
+  EXPECT_EQ(PullOne(counter), p);
+  EXPECT_EQ(PullOne(counter), nullptr);
   EXPECT_EQ(counter->counters().packets, 1u);
   pool.Free(p);
 }
@@ -109,8 +100,8 @@ TEST(ElementTest, PushInputsMayFanIn) {
   r.Connect(sink, 0, d, 0);
   r.Initialize();
   PacketPool pool(2);
-  a->Push(0, pool.Alloc());
-  b->Push(0, pool.Alloc());
+  PushOne(a, pool.Alloc());
+  PushOne(b, pool.Alloc());
   EXPECT_EQ(sink->counters().packets, 2u);
   EXPECT_EQ(d->count(), 2u);
   EXPECT_EQ(pool.available(), 2u);

@@ -11,18 +11,11 @@
 #include "click/router.hpp"
 #include "lookup/radix_trie.hpp"
 #include "packet/pool.hpp"
+#include "testing/dataflow.hpp"
 #include "workload/synthetic.hpp"
 
 namespace rb {
 namespace {
-
-class CollectSink : public Element {
- public:
-  CollectSink() : Element(1, 0) {}
-  const char* class_name() const override { return "CollectSink"; }
-  void Push(int /*port*/, Packet* p) override { got.push_back(p); }
-  std::vector<Packet*> got;
-};
 
 Packet* Frame(PacketPool* pool, uint32_t dst_ip = 0x0a000001, uint8_t proto = 17,
               uint32_t size = 64) {
@@ -49,7 +42,7 @@ TEST_F(ElementsTest, CheckIpHeaderAcceptsValid) {
   r.Connect(check, 0, good, 0);
   r.Connect(check, 1, bad, 0);
   r.Initialize();
-  check->Push(0, Frame(&pool_));
+  PushOne(check, Frame(&pool_));
   EXPECT_EQ(good->got.size(), 1u);
   EXPECT_EQ(bad->got.size(), 0u);
   pool_.Free(good->got[0]);
@@ -65,7 +58,7 @@ TEST_F(ElementsTest, CheckIpHeaderRejectsBadChecksum) {
   r.Initialize();
   Packet* p = Frame(&pool_);
   p->data()[EthernetView::kSize + 10] ^= 0xff;  // corrupt checksum
-  check->Push(0, p);
+  PushOne(check, p);
   EXPECT_EQ(good->got.size(), 0u);
   ASSERT_EQ(bad->got.size(), 1u);
   EXPECT_EQ(check->bad(), 1u);
@@ -80,7 +73,7 @@ TEST_F(ElementsTest, CheckIpHeaderRejectsTruncatedAndNonIp) {
   r.Initialize();
   Packet* p = Frame(&pool_);
   EthernetView{p->data()}.set_ether_type(0x86dd);  // IPv6
-  check->Push(0, p);  // goes to unwired output 1 -> dropped
+  PushOne(check, p);  // goes to unwired output 1 -> dropped
   EXPECT_EQ(good->got.size(), 0u);
   EXPECT_EQ(check->bad(), 1u);
   EXPECT_EQ(check->drops(), 1u);
@@ -93,7 +86,7 @@ TEST_F(ElementsTest, DecIpTtlDecrementsAndKeepsChecksumValid) {
   r.Connect(ttl, 0, sink, 0);
   r.Initialize();
   Packet* p = Frame(&pool_);
-  ttl->Push(0, p);
+  PushOne(ttl, p);
   ASSERT_EQ(sink->got.size(), 1u);
   Ipv4View ip{sink->got[0]->data() + EthernetView::kSize};
   EXPECT_EQ(ip.ttl(), 63);
@@ -113,7 +106,7 @@ TEST_F(ElementsTest, DecIpTtlExpiresAtOne) {
   Ipv4View ip{p->data() + EthernetView::kSize};
   ip.set_ttl(1);
   ip.UpdateChecksum();
-  ttl->Push(0, p);
+  PushOne(ttl, p);
   EXPECT_EQ(ok->got.size(), 0u);
   ASSERT_EQ(expired->got.size(), 1u);
   EXPECT_EQ(ttl->expired(), 1u);
@@ -131,8 +124,8 @@ TEST_F(ElementsTest, IpLookupRoutesByTable) {
   r.Connect(lookup, 0, port1, 0);
   r.Connect(lookup, 1, port2, 0);
   r.Initialize();
-  lookup->Push(0, Frame(&pool_, 0x0a010101));
-  lookup->Push(0, Frame(&pool_, 0x14010101));
+  PushOne(lookup, Frame(&pool_, 0x0a010101));
+  PushOne(lookup, Frame(&pool_, 0x14010101));
   EXPECT_EQ(port1->got.size(), 1u);
   EXPECT_EQ(port2->got.size(), 1u);
   pool_.Free(port1->got[0]);
@@ -147,7 +140,7 @@ TEST_F(ElementsTest, IpLookupDropsNoRoute) {
   auto* sink = r.Add<CollectSink>();
   r.Connect(lookup, 0, sink, 0);
   r.Initialize();
-  lookup->Push(0, Frame(&pool_, 0xc0000001));
+  PushOne(lookup, Frame(&pool_, 0xc0000001));
   EXPECT_EQ(sink->got.size(), 0u);
   EXPECT_EQ(lookup->no_route(), 1u);
   EXPECT_EQ(pool_.available(), pool_.capacity());
@@ -167,14 +160,14 @@ TEST_F(ElementsTest, IpLookupOutOfRangeHopDropsInsteadOfAliasing) {
   r.Connect(lookup, 0, port1, 0);
   r.Connect(lookup, 1, port2, 0);
   r.Initialize();
-  lookup->Push(0, Frame(&pool_, 0x14010101));
+  PushOne(lookup, Frame(&pool_, 0x14010101));
   EXPECT_EQ(port1->got.size(), 0u) << "hop 7 must not alias onto port (7-1)%2";
   EXPECT_EQ(port2->got.size(), 0u);
   EXPECT_EQ(lookup->bad_hop(), 1u);
   EXPECT_EQ(lookup->no_route(), 0u);
   EXPECT_EQ(pool_.available(), pool_.capacity());
   // In-range hops still route.
-  lookup->Push(0, Frame(&pool_, 0x0a010101));
+  PushOne(lookup, Frame(&pool_, 0x0a010101));
   ASSERT_EQ(port1->got.size(), 1u);
   pool_.Free(port1->got[0]);
 }
@@ -192,9 +185,9 @@ TEST_F(ElementsTest, IpLookupExplicitHopMapRemapsPorts) {
   r.Connect(lookup, 0, port0, 0);
   r.Connect(lookup, 1, port1, 0);
   r.Initialize();
-  lookup->Push(0, Frame(&pool_, 0x0a010101));
-  lookup->Push(0, Frame(&pool_, 0x14010101));
-  lookup->Push(0, Frame(&pool_, 0x1e010101));
+  PushOne(lookup, Frame(&pool_, 0x0a010101));
+  PushOne(lookup, Frame(&pool_, 0x14010101));
+  PushOne(lookup, Frame(&pool_, 0x1e010101));
   ASSERT_EQ(port1->got.size(), 1u);
   ASSERT_EQ(port0->got.size(), 1u);
   EXPECT_EQ(lookup->bad_hop(), 1u);
@@ -213,7 +206,7 @@ TEST_F(ElementsTest, IpLookupShortFrameDrops) {
   r.Initialize();
   Packet* p = Frame(&pool_, 0x0a010101);
   p->Trim(p->length() - 20);  // shorter than eth + ip headers
-  lookup->Push(0, p);
+  PushOne(lookup, p);
   EXPECT_EQ(sink->got.size(), 0u);
   EXPECT_EQ(lookup->drops(), 1u);
   EXPECT_EQ(lookup->no_route(), 0u);
@@ -231,8 +224,8 @@ TEST_F(ElementsTest, EtherClassifierSplitsByType) {
   Packet* a = Frame(&pool_);
   Packet* b = Frame(&pool_);
   EthernetView{b->data()}.set_ether_type(EthernetView::kTypeArp);
-  cls->Push(0, a);
-  cls->Push(0, b);
+  PushOne(cls, a);
+  PushOne(cls, b);
   EXPECT_EQ(ipv4->got.size(), 1u);
   EXPECT_EQ(other->got.size(), 1u);
   pool_.Free(a);
@@ -249,9 +242,9 @@ TEST_F(ElementsTest, IpProtoClassifier) {
   r.Connect(cls, 1, udp, 0);
   r.Connect(cls, 2, rest, 0);
   r.Initialize();
-  cls->Push(0, Frame(&pool_, 0x0a000001, 6));
-  cls->Push(0, Frame(&pool_, 0x0a000001, 17));
-  cls->Push(0, Frame(&pool_, 0x0a000001, 1));
+  PushOne(cls, Frame(&pool_, 0x0a000001, 6));
+  PushOne(cls, Frame(&pool_, 0x0a000001, 17));
+  PushOne(cls, Frame(&pool_, 0x0a000001, 1));
   EXPECT_EQ(tcp->got.size(), 1u);
   EXPECT_EQ(udp->got.size(), 1u);
   EXPECT_EQ(rest->got.size(), 1u);
@@ -273,8 +266,8 @@ TEST_F(ElementsTest, HashSwitchIsFlowStable) {
   Packet* b = Frame(&pool_);
   a->set_flow_hash(42);
   b->set_flow_hash(42);
-  hs->Push(0, a);
-  hs->Push(0, b);
+  PushOne(hs, a);
+  PushOne(hs, b);
   EXPECT_EQ(sinks[42 % 4]->got.size(), 2u);
   pool_.Free(a);
   pool_.Free(b);
@@ -293,7 +286,7 @@ TEST_F(ElementsTest, RoundRobinSwitchRotates) {
   for (int i = 0; i < 6; ++i) {
     Packet* p = Frame(&pool_);
     pkts.push_back(p);
-    rr->Push(0, p);
+    PushOne(rr, p);
   }
   for (auto* sink : sinks) {
     EXPECT_EQ(sink->got.size(), 2u);
@@ -314,7 +307,7 @@ TEST_F(ElementsTest, EtherEncapStripRoundTrip) {
   r.Initialize();
   Packet* p = Frame(&pool_);
   uint32_t len = p->length();
-  strip->Push(0, p);
+  PushOne(strip, p);
   ASSERT_EQ(sink->got.size(), 1u);
   EXPECT_EQ(sink->got[0]->length(), len);
   EthernetView eth{sink->got[0]->data()};
@@ -332,7 +325,7 @@ TEST_F(ElementsTest, EtherRewriteOnlyTouchesAddresses) {
   r.Connect(rw, 0, sink, 0);
   r.Initialize();
   Packet* p = Frame(&pool_);
-  rw->Push(0, p);
+  PushOne(rw, p);
   EthernetView eth{p->data()};
   EXPECT_EQ(eth.src(), src);
   EXPECT_EQ(eth.dst(), dst);
@@ -348,7 +341,7 @@ TEST_F(ElementsTest, VlbEncapEncodesOutputNode) {
   r.Initialize();
   Packet* p = Frame(&pool_);
   p->set_output_node(3);
-  vlb->Push(0, p);
+  PushOne(vlb, p);
   ASSERT_EQ(sink->got.size(), 1u);
   EXPECT_EQ(NodeFromMac(EthernetView{p->data()}.dst()), 3);
   pool_.Free(p);
@@ -360,7 +353,7 @@ TEST_F(ElementsTest, VlbEncapDropsUntagged) {
   auto* sink = r.Add<CollectSink>();
   r.Connect(vlb, 0, sink, 0);
   r.Initialize();
-  vlb->Push(0, Frame(&pool_));  // no output node set
+  PushOne(vlb, Frame(&pool_));  // no output node set
   EXPECT_EQ(sink->got.size(), 0u);
   EXPECT_EQ(vlb->drops(), 1u);
 }
@@ -379,7 +372,7 @@ TEST_F(ElementsTest, IpsecEncryptDecryptChain) {
   r.Initialize();
   Packet* p = Frame(&pool_, 0x0a000001, 17, 256);
   std::vector<uint8_t> original(p->data(), p->data() + p->length());
-  enc->Push(0, p);
+  PushOne(enc, p);
   ASSERT_EQ(sink->got.size(), 1u);
   EXPECT_EQ(enc->encrypted(), 1u);
   EXPECT_EQ(dec->decrypted(), 1u);
@@ -399,7 +392,7 @@ TEST_F(ElementsTest, TeeCopiesToAllOutputs) {
   r.Initialize();
   Packet* p = Frame(&pool_);
   p->set_flow_id(11);
-  tee->Push(0, p);
+  PushOne(tee, p);
   for (auto* sink : sinks) {
     ASSERT_EQ(sink->got.size(), 1u);
     EXPECT_EQ(sink->got[0]->length(), p->length());
@@ -424,7 +417,7 @@ TEST_F(ElementsTest, PaintAndPaintSwitch) {
   r.Connect(paint, 0, sw, 0);
   r.Initialize();
   Packet* p = Frame(&pool_);
-  paint->Push(0, p);
+  PushOne(paint, p);
   EXPECT_EQ(sinks[2]->got.size(), 1u);
   pool_.Free(p);
 }
@@ -435,11 +428,11 @@ TEST_F(ElementsTest, QueueDropsWhenFull) {
   r.Initialize();
   std::vector<Packet*> pkts;
   for (int i = 0; i < 4; ++i) {
-    q->Push(0, Frame(&pool_));
+    PushOne(q, Frame(&pool_));
   }
   EXPECT_GE(q->drops(), 2u);
   Packet* p;
-  while ((p = q->Pull(0)) != nullptr) {
+  while ((p = PullOne(q)) != nullptr) {
     pool_.Free(p);
   }
   EXPECT_EQ(pool_.available(), pool_.capacity());

@@ -15,6 +15,7 @@
 #include "click/router.hpp"
 #include "netdev/nic.hpp"
 #include "packet/pool.hpp"
+#include "testing/dataflow.hpp"
 
 namespace rb {
 namespace {
@@ -84,11 +85,11 @@ TEST(QueueBackpressureTest, PartialPullBatchStillUnblocks) {
   EXPECT_FALSE(q->Blocked()) << "partial (1-packet) pulls down to lo must clear Blocked";
   out.ReleaseAll();
 
-  // Same via single-packet Pull.
+  // Refilled to hi, the queue blocks again; single-packet pulls clear it again.
   PushN(q, &pool, 8 - q->size());
   ASSERT_TRUE(q->Blocked());
   for (int i = 0; i < 4; ++i) {
-    Packet* p = q->Pull(0);
+    Packet* p = PullOne(q);
     ASSERT_NE(p, nullptr);
     pool.Free(p);
   }
@@ -134,7 +135,7 @@ TEST(QueueBackpressureTest, CodelDropsOnlyUnderPersistentSojourn) {
   PushN(q, &pool, 64);
   g_clock_now = 1.2;  // every queued packet now 200ms old (>> target)
   uint64_t pulled = 0;
-  while (Packet* p = q->Pull(0)) {
+  while (Packet* p = PullOne(q)) {
     pulled++;
     pool.Free(p);
     // Advance far enough per dequeue that the drain spans several CoDel

@@ -7,6 +7,7 @@
 #include "click/elements/queue.hpp"
 #include "click/elements/to_device.hpp"
 #include "packet/pool.hpp"
+#include "testing/dataflow.hpp"
 #include "workload/synthetic.hpp"
 
 namespace rb {
@@ -29,7 +30,7 @@ TEST(RouterTest, ChainConnectsSequentially) {
   r.Chain({a, b, d});
   r.Initialize();
   PacketPool pool(1);
-  a->Push(0, pool.Alloc());
+  PushOne(a, pool.Alloc());
   EXPECT_EQ(b->counters().packets, 1u);
   EXPECT_EQ(d->count(), 1u);
   EXPECT_EQ(pool.available(), 1u);

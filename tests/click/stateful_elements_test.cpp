@@ -10,6 +10,7 @@
 #include "packet/checksum.hpp"
 #include "packet/headers.hpp"
 #include "packet/pool.hpp"
+#include "testing/dataflow.hpp"
 #include "workload/synthetic.hpp"
 
 namespace rb {
@@ -17,14 +18,6 @@ namespace {
 
 double g_fake_clock_s = 0;
 double FakeClock() { return g_fake_clock_s; }
-
-class BatchSink : public Element {
- public:
-  BatchSink() : Element(1, 0) {}
-  const char* class_name() const override { return "BatchSink"; }
-  void Push(int /*port*/, Packet* p) override { got.push_back(p); }
-  std::vector<Packet*> got;
-};
 
 Packet* Frame(PacketPool* pool, const FlowKey& key, uint32_t size = 64) {
   FrameSpec spec;
@@ -80,8 +73,8 @@ TEST_F(StatefulElementsTest, NatRewritesOutboundAndKeepsChecksumsValid) {
   NatOptions opt;
   opt.capacity = 64;
   auto* nat = r.Add<Nat>(opt);
-  auto* out = r.Add<BatchSink>();
-  auto* in = r.Add<BatchSink>();
+  auto* out = r.Add<CollectSink>();
+  auto* in = r.Add<CollectSink>();
   r.Connect(nat, 0, out, 0);
   r.Connect(nat, 1, in, 0);
   r.Initialize();
@@ -112,8 +105,8 @@ TEST_F(StatefulElementsTest, NatInboundReplyRoundTripsToInsideAddress) {
   NatOptions opt;
   opt.capacity = 64;
   auto* nat = r.Add<Nat>(opt);
-  auto* out = r.Add<BatchSink>();
-  auto* in = r.Add<BatchSink>();
+  auto* out = r.Add<CollectSink>();
+  auto* in = r.Add<CollectSink>();
   r.Connect(nat, 0, out, 0);
   r.Connect(nat, 1, in, 0);
   r.Initialize();
@@ -157,8 +150,8 @@ TEST_F(StatefulElementsTest, NatOverloadEvictsLruAndKeepsForwarding) {
   opt.hi_watermark = 0.5;
   opt.lo_watermark = 0.25;
   auto* nat = r.Add<Nat>(opt);
-  auto* out = r.Add<BatchSink>();
-  auto* in = r.Add<BatchSink>();
+  auto* out = r.Add<CollectSink>();
+  auto* in = r.Add<CollectSink>();
   r.Connect(nat, 0, out, 0);
   r.Connect(nat, 1, in, 0);
   r.Initialize();
@@ -194,8 +187,8 @@ TEST_F(StatefulElementsTest, NatFullTableWithEvictionDisabledDropsIntoBucket) {
   opt.lo_watermark = 0.5;
   opt.evict_on_full = false;
   auto* nat = r.Add<Nat>(opt);
-  auto* out = r.Add<BatchSink>();
-  auto* in = r.Add<BatchSink>();
+  auto* out = r.Add<CollectSink>();
+  auto* in = r.Add<CollectSink>();
   r.Connect(nat, 0, out, 0);
   r.Connect(nat, 1, in, 0);
   r.Initialize();
@@ -220,7 +213,7 @@ TEST_F(StatefulElementsTest, PolicerEnforcesPerFlowTokenBucket) {
   opt.rate_pps = 1000;
   opt.burst = 4;
   auto* pol = r.Add<FlowPolicer>(opt);
-  auto* out = r.Add<BatchSink>();
+  auto* out = r.Add<CollectSink>();
   r.Connect(pol, 0, out, 0);
   r.Initialize();
   pol->set_clock(&FakeClock);
@@ -261,8 +254,8 @@ TEST_F(StatefulElementsTest, FirewallAllowsEstablishedOnly) {
   FlowPolicerOptions opt;
   opt.mode = PolicerMode::kFirewall;
   auto* fw = r.Add<FlowPolicer>(opt);
-  auto* inside_out = r.Add<BatchSink>();
-  auto* outside_in = r.Add<BatchSink>();
+  auto* inside_out = r.Add<CollectSink>();
+  auto* outside_in = r.Add<CollectSink>();
   r.Connect(fw, 0, inside_out, 0);
   r.Connect(fw, 1, outside_in, 0);
   r.Initialize();

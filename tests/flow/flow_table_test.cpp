@@ -91,6 +91,17 @@ TEST(FlowTableTest, MillionsOfDistinctFlowsFitUnderWatermark) {
   EXPECT_LE(t.ProbeLengthPercentile(0.99), c.max_probe_buckets);
 }
 
+TEST(FlowTableDeathTest, ProbeLengthPercentileRejectsPercentScale) {
+  // The argument is a fraction: 99 (a 0-100 percentile) would read as the
+  // whole probe window instead of the p99, so it is rejected.
+  FlowTable t(SmallConfig(512, 1));
+  for (uint32_t i = 0; i < 64; ++i) {
+    ASSERT_NE(t.FindOrInsert(Key(i), i), nullptr);
+  }
+  EXPECT_GE(t.ProbeLengthPercentile(0.99), 1);
+  EXPECT_DEATH(t.ProbeLengthPercentile(99), "fraction in \\[0, 1\\]");
+}
+
 TEST(FlowTableTest, WatermarkEvictionEngagesBeforeTableFull) {
   FlowTableConfig c = SmallConfig(512, 1);
   c.hi_watermark = 0.5;

@@ -18,6 +18,7 @@
 #include "program/compiled_classifier.hpp"
 #include "program/match_program.hpp"
 #include "telemetry/handler.hpp"
+#include "testing/dataflow.hpp"
 #include "workload/synthetic.hpp"
 
 namespace rb {
@@ -25,14 +26,6 @@ namespace {
 
 using program::CompileClassifierPatterns;
 using program::MatchProgram;
-
-class CollectSink : public Element {
- public:
-  CollectSink() : Element(1, 0) {}
-  const char* class_name() const override { return "CollectSink"; }
-  void Push(int /*port*/, Packet* p) override { got.push_back(p); }
-  std::vector<Packet*> got;
-};
 
 Packet* Frame(PacketPool* pool, uint32_t dst_ip = 0x0a000001, uint8_t proto = 17,
               uint32_t size = 64) {

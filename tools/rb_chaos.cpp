@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "click/elements/from_device.hpp"
+#include "click/elements/misc.hpp"
 #include "click/elements/nat.hpp"
 #include "click/elements/queue.hpp"
 #include "click/elements/to_device.hpp"
@@ -407,21 +408,6 @@ void RunGraphEpisode(uint64_t seed, int episode, bool verbose) {
 // Stateful episodes (DESIGN.md §17)
 // ---------------------------------------------------------------------
 
-// Sink that counts and recycles everything a Nat output pushes.
-class CountingSink : public rb::Element {
- public:
-  explicit CountingSink(rb::PacketPool* pool) : Element(1, 0), pool_(pool) {}
-  const char* class_name() const override { return "CountingSink"; }
-  void Push(int, rb::Packet* p) override {
-    count++;
-    pool_->Free(p);
-  }
-  uint64_t count = 0;
-
- private:
-  rb::PacketPool* pool_;
-};
-
 // NAT flavor: randomized table shape + churn overload + stray replies.
 void RunNatChaosEpisode(uint64_t seed, int episode, bool verbose) {
   rb::Rng rng(seed * 6364136223846793005ULL + static_cast<uint64_t>(episode) * 104729ULL + 9);
@@ -441,8 +427,8 @@ void RunNatChaosEpisode(uint64_t seed, int episode, bool verbose) {
   rb::Router r;
   rb::PacketPool pool(2048);
   auto* nat = r.Add<rb::Nat>(opt);
-  auto* out = r.Add<CountingSink>(&pool);
-  auto* in = r.Add<CountingSink>(&pool);
+  auto* out = r.Add<rb::Discard>();
+  auto* in = r.Add<rb::Discard>();
   r.Connect(nat, 0, out, 0);
   r.Connect(nat, 1, in, 0);
   r.Initialize();
@@ -510,7 +496,7 @@ void RunNatChaosEpisode(uint64_t seed, int episode, bool verbose) {
   }
 
   const rb::FlowTableStats s = nat->table().stats();
-  const uint64_t accounted = out->count + in->count + nat->table_full_drops() +
+  const uint64_t accounted = out->count() + in->count() + nat->table_full_drops() +
                              nat->no_mapping_drops() + nat->malformed_drops();
   Check(injected == accounted,
         rb::Format("nat episode %d: injected %llu != forwarded+dropped %llu", episode,
@@ -536,8 +522,8 @@ void RunNatChaosEpisode(uint64_t seed, int episode, bool verbose) {
     std::printf("nat episode %d: injected %llu out %llu in %llu evict %llu full %llu "
                 "no_map %llu occ %zu\n",
                 episode, static_cast<unsigned long long>(injected),
-                static_cast<unsigned long long>(out->count),
-                static_cast<unsigned long long>(in->count),
+                static_cast<unsigned long long>(out->count()),
+                static_cast<unsigned long long>(in->count()),
                 static_cast<unsigned long long>(s.evictions()),
                 static_cast<unsigned long long>(nat->table_full_drops()),
                 static_cast<unsigned long long>(nat->no_mapping_drops()),
